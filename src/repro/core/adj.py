@@ -18,7 +18,7 @@ different ``p`` — the effect the paper observes on (OK, Q6).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -26,11 +26,11 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.storagelevel import StorageLevel
 
 from repro.core.cost import CostModel, default_cost_model
-from repro.core.executor import JoinTimeoutError, one_round_join
+from repro.core.executor import JoinTimeoutError, JoinTimings, one_round_join
 from repro.core.optimizer import PlanChoice, optimize
 from repro.core.query import JoinQuery
 from repro.core.sampling import LocalDB
-from repro.hcube.shares import RelSpec, server_load, optimize_shares
+from repro.hcube.shares import RelSpec, derive_memory, optimize_shares
 
 
 @dataclass
@@ -40,12 +40,9 @@ class ADJConfig:
     n_servers: int = 16
     sample_k: int = 200
     seed: int = 0
-    mode: str = "pull"  # HCube implementation variant (§V)
     count_only: bool = True
     budget_seconds: float | None = None  # per-server Leapfrog cap
     cache_entries: int = 0  # >0 → CacheTrieJoin-style cache
-    memory_tuples: float | None = None  # None → derived per test-case
-    memory_slack: float = 2.0
     beta_source: str = "sampled"  # "sampled" (§III-B) | "model" (constants)
 
 
@@ -73,6 +70,17 @@ class PhaseReport:
             + self.computation
         )
 
+    def record(self, timings: JoinTimings, result=None) -> None:
+        """Fill the Communication/Computation columns from one one-round
+        join; ``result`` is kept when it is the enumerated tuples."""
+        self.communication = timings.communication
+        self.computation = timings.computation
+        self.result_count = timings.result_count
+        self.timed_out = timings.timed_out  # budget or wall-clock cap hit
+        self.detail["shuffled_tuples"] = timings.shuffled_tuples
+        if isinstance(result, DataFrame):
+            self.detail["result_df"] = result
+
 
 def relation_dfs(
     edges: DataFrame, query: JoinQuery
@@ -95,23 +103,6 @@ def local_db(edges_rows: np.ndarray, query: JoinQuery) -> LocalDB:
     return {r.name: (r.attrs, rows) for r in query.relations}
 
 
-def derive_memory(
-    attrs: tuple[str, ...],
-    raw_relations: list[RelSpec],
-    n_servers: int,
-    slack: float,
-) -> float:
-    """Per-server capacity M: ``slack ×`` the minimum achievable expected
-    load over all share vectors with ``∏ p ≤ n_servers``."""
-    from repro.hcube.shares import _vectors  # enumeration helper
-
-    min_load = min(
-        server_load(raw_relations, p)
-        for p in _vectors(list(attrs), n_servers)
-    )
-    return slack * min_load
-
-
 def precompute_bags(
     spark: SparkSession,
     plan: PlanChoice,
@@ -122,27 +113,12 @@ def precompute_bags(
     out: dict[str, DataFrame] = {}
     sizes: dict[str, int] = {}
     for bag in plan.precomputed_bags:
-        # greedy join order: merge the relation sharing the most columns
-        # with the accumulated result first (max filtering — mirrors the
-        # optimizer's cost_M estimate of the same pipeline)
-        remaining = list(bag.relations)
-        df = None
-        while remaining:
-            if df is None:
-                r = remaining.pop(0)
-            else:
-                r = max(
-                    remaining,
-                    key=lambda x: len(set(x.attrs) & set(df.columns)),
-                )
-                remaining.remove(r)
+        first, *rest = bag.join_order()
+        df = rels[first.name]
+        for r in rest:
             rdf = rels[r.name]
-            if df is None:
-                df = rdf
-            else:
-                shared = [c for c in df.columns if c in rdf.columns]
-                df = df.join(rdf, on=shared) if shared else df.crossJoin(rdf)
-        assert df is not None
+            shared = [c for c in df.columns if c in rdf.columns]
+            df = df.join(rdf, on=shared) if shared else df.crossJoin(rdf)
         df = df.select(*bag.attrs).persist(StorageLevel.MEMORY_AND_DISK)
         sizes[f"bag{bag.index}"] = df.count()
         out[f"bag{bag.index}"] = df
@@ -174,19 +150,8 @@ def run_adj(
     raw_specs: list[RelSpec] = [
         (r.attrs, int(edges_rows.shape[0])) for r in query.relations
     ]
-    mem = cfg.memory_tuples
-    if mem is None:
-        mem = derive_memory(
-            query.attrs, raw_specs, cfg.n_servers, cfg.memory_slack
-        )
-    cm = CostModel(
-        alpha=cm.alpha,
-        beta_pre=cm.beta_pre,
-        beta_raw=cm.beta_raw,
-        gamma=cm.gamma,
-        n_servers=cfg.n_servers,
-        memory_tuples=mem,
-    )
+    mem = derive_memory(query.attrs, raw_specs, cfg.n_servers)
+    cm = replace(cm, n_servers=cfg.n_servers, memory_tuples=mem)
     plan = optimize(
         query,
         db,
@@ -233,26 +198,14 @@ def run_adj(
             schemas,
             plan.order,
             shares.p,
-            mode=cfg.mode,
             count_only=cfg.count_only,
             budget_seconds=cfg.budget_seconds,
             cache_entries=cfg.cache_entries,
         )
-        report.communication = t.communication
-        report.computation = t.computation
-        report.result_count = t.result_count
-        report.timed_out = t.timed_out  # wall-clock cap exceeded
-        report.detail["shuffled_tuples"] = t.shuffled_tuples
-        if not cfg.count_only:
-            report.detail["result_df"] = result
     except JoinTimeoutError as e:
-        report.timed_out = True
-        if e.timings is not None:
-            report.communication = e.timings.communication
-            report.computation = e.timings.computation
-        else:  # pragma: no cover - timings always attached
-            report.computation = float(cfg.budget_seconds or 0)
+        result, t = None, e.timings
     finally:
         for df in bag_dfs.values():
             df.unpersist()
+    report.record(t, result)
     return report

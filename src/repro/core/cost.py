@@ -11,9 +11,10 @@ paper prescribes:
   that materializes pre-computed bags), used inside ``cost_M``.
 
 ``β_raw`` (extensions/second when the node is *not* pre-computed) is not
-calibrated here: it is harvested from the sampling statistics of the
-current test-case (§III-B "reusing statistics gathered during sampling")
-and passed in by the planner.
+calibrated here: the planner measures raw extension cost from the
+sampling statistics of the current test-case (§III-B "reusing statistics
+gathered during sampling"); the constant ``β_pre / 50`` set here is used
+only when it plans from the model (``beta_source="model"``).
 
 Costs returned are in seconds:
 
@@ -25,7 +26,7 @@ Costs returned are in seconds:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -47,23 +48,15 @@ class CostModel:
     n_servers: int = 16
     memory_tuples: float | None = None
 
-    def with_beta_raw(self, beta_raw: float) -> "CostModel":
-        return replace(self, beta_raw=beta_raw)
-
     # -- paper cost terms --------------------------------------------------
-    def shares_for(
-        self, attrs: Sequence[str], relations: Sequence[RelSpec]
-    ) -> Shares:
-        return optimize_shares(
-            attrs, relations, self.n_servers, self.memory_tuples
-        )
-
     def cost_C(
         self, attrs: Sequence[str], relations: Sequence[RelSpec]
     ) -> tuple[float, Shares]:
         """Communication seconds for shuffling ``relations`` under the
         optimal share vector, and that vector."""
-        sh = self.shares_for(attrs, relations)
+        sh = optimize_shares(
+            attrs, relations, self.n_servers, self.memory_tuples
+        )
         return sh.comm / self.alpha, sh
 
     def cost_E(self, prefix_bindings: float, precomputed: bool) -> float:
@@ -92,12 +85,14 @@ class CostModel:
 # Calibration (cached per SparkSession)
 # ---------------------------------------------------------------------------
 
-_CAL_CACHE: dict[int, dict[str, float]] = {}
+#: keyed on the Spark application id: ``id(spark)`` may be reused by a
+#: new session after ``stop()``, an application id never is
+_CAL_CACHE: dict[str, dict[str, float]] = {}
 
 
 def calibrate_alpha(spark: SparkSession, k: int = 200_000) -> float:
     """Measure α by timing a k-tuple repartition (a real exchange)."""
-    cache = _CAL_CACHE.setdefault(id(spark), {})
+    cache = _CAL_CACHE.setdefault(spark.sparkContext.applicationId, {})
     if "alpha" not in cache:
         df = spark.range(k).withColumn(
             "key", (F.col("id") * 2654435761) % 4096
@@ -111,7 +106,7 @@ def calibrate_alpha(spark: SparkSession, k: int = 200_000) -> float:
 
 def calibrate_gamma(spark: SparkSession, n: int = 100_000) -> float:
     """Measure γ by timing a Catalyst shuffle-join of two n-row tables."""
-    cache = _CAL_CACHE.setdefault(id(spark), {})
+    cache = _CAL_CACHE.setdefault(spark.sparkContext.applicationId, {})
     if "gamma" not in cache:
         a = spark.range(n).withColumn("k", F.col("id") % (n // 4))
         b = spark.range(n).withColumn("k", (F.col("id") * 7) % (n // 4))
@@ -144,19 +139,15 @@ def default_cost_model(
     spark: SparkSession,
     *,
     n_servers: int = 16,
-    memory_tuples: float | None = None,
-    beta_raw: float | None = None,
 ) -> CostModel:
-    """Fully calibrated cost model for this session. ``beta_raw`` may be
-    refined later from sampling statistics via :meth:`with_beta_raw`."""
+    """Fully calibrated cost model for this session."""
     beta_pre = calibrate_beta_pre()
     return CostModel(
         alpha=calibrate_alpha(spark),
         beta_pre=beta_pre,
         # until sampling stats exist, assume raw extension is ~50× slower
         # than a single trie lookup (it intersects several candidate lists)
-        beta_raw=beta_raw if beta_raw is not None else beta_pre / 50.0,
+        beta_raw=beta_pre / 50.0,
         gamma=calibrate_gamma(spark),
         n_servers=n_servers,
-        memory_tuples=memory_tuples,
     )

@@ -15,7 +15,7 @@ blocks.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -24,11 +24,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.storagelevel import StorageLevel
 
-from repro.hcube.shuffle import (
-    hcube_shuffle,
-    n_servers,
-    order_aligned_attrs,
-)
+from repro.hcube.shuffle import hcube_shuffle, order_aligned_attrs
 from repro.leapfrog.cache import IntersectionCache
 from repro.leapfrog.leapfrog import LeapfrogTimeout, leapfrog
 from repro.leapfrog.trie import Trie
@@ -40,7 +36,7 @@ class JoinTimeoutError(Exception):
     Carries the phase timings gathered so far in ``self.timings``.
     """
 
-    def __init__(self, msg: str, timings: "JoinTimings | None" = None):
+    def __init__(self, msg: str, timings: JoinTimings):
         super().__init__(msg)
         self.timings = timings
 
@@ -54,11 +50,6 @@ class JoinTimings:
     shuffled_tuples: int = 0
     result_count: int | None = None
     timed_out: bool = False
-    extra: dict = field(default_factory=dict)
-
-    @property
-    def total(self) -> float:
-        return self.communication + self.computation
 
 
 def _make_worker(
@@ -158,7 +149,6 @@ def one_round_join(
         timings.shuffled_tuples = sum(
             (vals or 0) // len(schemas[rel]) for rel, vals in per_rel.items()
         )
-        timings.extra["n_servers"] = n_servers(shares)
 
         worker = _make_worker(
             schemas, order, count_only, budget_seconds, cache_entries

@@ -46,6 +46,22 @@ class Bag:
     def attr_set(self) -> frozenset[str]:
         return frozenset(self.attrs)
 
+    def join_order(self) -> list[Relation]:
+        """Greedy binary-join order of λ(v), shared by the driver-local
+        pre-join the optimizer prices and the Catalyst pre-compute: start
+        with the first relation, then always merge the one sharing the
+        most attributes with the accumulated result (max filtering; ties
+        keep λ(v) order)."""
+        remaining = list(self.relations)
+        order = [remaining.pop(0)]
+        bound = set(order[0].attrs)
+        while remaining:
+            r = max(remaining, key=lambda x: len(x.attr_set & bound))
+            remaining.remove(r)
+            order.append(r)
+            bound |= r.attr_set
+        return order
+
 
 class Hypertree:
     """A GHD of a join query with its tree edges and fhw."""

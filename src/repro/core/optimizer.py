@@ -36,7 +36,6 @@ Estimation follows §III-B/§IV:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -50,8 +49,6 @@ from repro.core.sampling import (
     project_db,
 )
 from repro.hcube.shares import RelSpec, Shares
-from repro.leapfrog.leapfrog import LeapfrogTimeout, leapfrog
-from repro.leapfrog.trie import trie_for_order
 
 
 @dataclass
@@ -91,23 +88,16 @@ class _Estimator:
     #: heavy, so every estimate is budgeted and scales by the samples
     #: actually processed
     BUDGET_PER_CALL = 1.0
+    #: samples per β measurement (each extends a whole query variant)
+    K_BETA = 12
 
     def __init__(
-        self,
-        db: LocalDB,
-        query: JoinQuery,
-        tree: Hypertree,
-        k: int,
-        seed: int,
-        k_beta: int = 12,
-        budget_per_call: float = BUDGET_PER_CALL,
+        self, db: LocalDB, query: JoinQuery, tree: Hypertree, k: int, seed: int
     ):
         self.db = db
         self.query = query
         self.tree = tree
         self.k = k
-        self.k_beta = k_beta
-        self.budget = budget_per_call
         self.seed = seed
         self._prefix: dict[frozenset[str], float] = {}
         self._joins: dict[int, np.ndarray | None] = {}
@@ -137,7 +127,7 @@ class _Estimator:
                     self._order_for(attrs),
                     k=self.k,
                     seed=self.seed,
-                    budget_seconds=self.budget,
+                    budget_seconds=self.BUDGET_PER_CALL,
                 )
             )
             self._prefix[attrs] = max(est.estimate, 1.0)
@@ -152,20 +142,9 @@ class _Estimator:
         if bag.index not in self._joins:
             import pandas as pd
 
-            # greedy join order: always merge the relation sharing the
-            # most attributes with the accumulated result (max filtering)
-            remaining = list(bag.relations)
             df: pd.DataFrame | None = None
             work = 0.0  # tuples through the join pipeline (for cost_M)
-            while remaining:
-                if df is None:
-                    r = remaining.pop(0)
-                else:
-                    r = max(
-                        remaining,
-                        key=lambda x: len(set(x.attrs) & set(df.columns)),
-                    )
-                    remaining.remove(r)
+            for r in bag.join_order():
                 attrs, rows = self.db[r.name]
                 nxt = pd.DataFrame(rows, columns=list(attrs))
                 work += len(nxt)
@@ -209,7 +188,7 @@ class _Estimator:
                 bag.attrs,
                 k=self.k,
                 seed=self.seed,
-                budget_seconds=self.budget,
+                budget_seconds=self.BUDGET_PER_CALL,
             )
         )
         return max(est.estimate, 1.0)
@@ -247,9 +226,9 @@ class _Estimator:
                 estimate_cardinality_local(
                     db_v,
                     order,
-                    k=self.k_beta,
+                    k=self.K_BETA,
                     seed=self.seed,
-                    budget_seconds=self.budget,
+                    budget_seconds=self.BUDGET_PER_CALL,
                 )
             )
         return self._beta[key]
@@ -302,18 +281,17 @@ def optimize(
     est = _Estimator(db, query, tree, sample_k, seed)
     cm = cost_model
 
-    def comp_cost(t_prev: float, stats, fallback_rate: float) -> float:
+    def comp_cost(t_prev: float, stats, precomputed: bool) -> float:
         """Computation cost of the variant measured by ``stats``.
 
         Sampled mode: the per-value counting time scaled by |val(A)|
         predicts the sequential whole-query time directly (capturing
         both cheaper extensions and fewer partial bindings under a
         pre-joined bag), divided by the skew-adjusted parallelism.
-        Model mode (stats is None): the paper's closed form
-        ``T_prev / (β · N*)``.
+        Model mode (stats is None): the paper's closed form ``cost_E``.
         """
         if stats is None:
-            return t_prev / (fallback_rate * cm.n_servers)
+            return cm.cost_E(t_prev, precomputed=precomputed)
         n_eff = max(1.0, cm.n_servers * (1.0 - stats.hub_share))
         return stats.seconds_per_value * stats.val_count / n_eff
 
@@ -338,7 +316,7 @@ def optimize(
                 if beta_source == "sampled"
                 else None
             )
-            cost_no = cost_c + comp_cost(t_prev, raw_stats, cm.beta_raw)
+            cost_no = cost_c + comp_cost(t_prev, raw_stats, precomputed=False)
             if best is None or cost_no < best[0]:
                 best = (cost_no, v, False)
             bag = tree.bags[v]
@@ -360,7 +338,7 @@ def optimize(
                 cost_pre = (
                     cost_m
                     + cost_c2
-                    + comp_cost(t_prev, pre_stats, cm.beta_pre)
+                    + comp_cost(t_prev, pre_stats, precomputed=True)
                 )
                 if cost_pre < best[0]:
                     best = (cost_pre, v, True)

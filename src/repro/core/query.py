@@ -12,7 +12,7 @@ oracle can recompute any query independently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 @dataclass(frozen=True)

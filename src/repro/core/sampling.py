@@ -5,20 +5,11 @@
 with the first attribute pinned (``fixed_prefix``). Chernoff–Hoeffding
 (Lemma 2) gives ``k(p, δ)``.
 
-Two implementations share the estimator:
-
-* :func:`estimate_cardinality_spark` — the paper's *distributed* pipeline:
-  projections and their intersection, sampling of ``val(A)``, and the
-  semi-join reduction of the database all run as DataFrame operations;
-  the reduced database is broadcast and the per-sample Leapfrog counts
-  are evaluated in parallel over the cluster.
-* :func:`estimate_cardinality_local` — the same estimator on
-  driver-local numpy relations; the Alg. 2 optimizer issues many prefix
-  sub-query estimates and uses this fast path.
-
-Both also report the observed extension rate (extensions/second), which
-calibrates ``β`` for non-pre-computed bags (§III-B, "reusing statistics
-gathered during sampling").
+The estimator runs on the driver over numpy relations: the Alg. 2
+optimizer issues many prefix sub-query estimates, each far cheaper than
+a Spark job. It also reports the extensions and counting time it
+observed, which calibrate ``β`` for non-pre-computed bags (§III-B,
+"reusing statistics gathered during sampling").
 """
 from __future__ import annotations
 
@@ -26,13 +17,10 @@ import math
 import time
 from dataclasses import dataclass
 from functools import reduce
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
-from repro.hcube.shuffle import order_aligned_attrs
 from repro.leapfrog.leapfrog import LeapfrogTimeout, leapfrog
 from repro.leapfrog.trie import trie_for_order
 
@@ -53,14 +41,6 @@ class CardinalityEstimate:
     attr: str
     max_x: float = 0.0  # largest sampled |T_{A=a}| (skew indicator)
     count_elapsed: float = 0.0  # pure counting time (excludes trie builds)
-
-    @property
-    def extension_rate(self) -> float:
-        """Extensions per second — the β statistic of §III-B. Based on the
-        pure counting time so small samples are not biased by the one-off
-        trie construction."""
-        t = self.count_elapsed if self.count_elapsed > 0 else self.elapsed
-        return self.extensions / t if t > 0 else float("inf")
 
     @property
     def seconds_per_value(self) -> float:
@@ -190,106 +170,6 @@ def estimate_cardinality_local(
         attr=attr,
         max_x=float(counts.max()) if used else 0.0,
         count_elapsed=count_el,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Distributed estimator
-# ---------------------------------------------------------------------------
-
-def estimate_cardinality_spark(
-    spark: SparkSession,
-    relations: Mapping[str, DataFrame],
-    schemas: Mapping[str, Sequence[str]],
-    order: Sequence[str],
-    *,
-    k: int = 200,
-    seed: int = 0,
-) -> CardinalityEstimate:
-    """The distributed sampling pipeline of §IV.
-
-    1. ``val(A)`` via intersecting per-relation projections (DataFrames).
-    2. Sample ``k`` values of ``val(A)``.
-    3. Semi-join-reduce every relation containing ``A`` against the
-       sample (the "reduce the database before shuffling" optimization).
-    4. Broadcast the reduced database; evaluate the pinned Leapfrog per
-       sampled value in parallel on the executors.
-    """
-    t0 = time.monotonic()
-    order = tuple(order)
-    attr = order[0]
-    schemas = {n: tuple(a) for n, a in schemas.items()}
-    with_a = [n for n, attrs in schemas.items() if attr in attrs]
-    if not with_a:
-        raise ValueError(f"attribute {attr} in no relation")
-    projs = [
-        relations[n].select(F.col(attr).alias("v")).distinct() for n in with_a
-    ]
-    val_df = reduce(lambda x, y: x.join(y, on="v", how="inner"), projs)
-    val_df = val_df.persist()
-    try:
-        val_count = val_df.count()
-        if val_count == 0:
-            return CardinalityEstimate(
-                0.0, 0, 0, 0.0, 0, time.monotonic() - t0, attr
-            )
-        if k >= val_count:
-            sample_rows = val_df.collect()
-        else:
-            sample_rows = (
-                val_df.orderBy(F.rand(seed)).limit(k).collect()
-            )
-        sample = np.array([r["v"] for r in sample_rows], dtype=np.int64)
-        sample_df = spark.createDataFrame(
-            [(int(v),) for v in sample], schema="v long"
-        )
-        reduced: LocalDB = {}
-        for n, attrs in schemas.items():
-            df = relations[n]
-            if attr in attrs:
-                df = df.join(
-                    sample_df, on=df[attr] == sample_df["v"], how="left_semi"
-                )
-            rows = np.asarray(
-                df.select(*attrs).toPandas().to_numpy(dtype=np.int64)
-            ).reshape(-1, len(attrs))
-            reduced[n] = (attrs, rows)
-    finally:
-        val_df.unpersist()
-
-    sc = spark.sparkContext
-    bc = sc.broadcast(reduced)
-    n_slices = min(len(sample), sc.defaultParallelism)
-
-    def part(values):
-        values = list(values)
-        if not values:
-            return iter(())
-        counts, ext, elapsed, used = _count_for_values(
-            bc.value, order, np.asarray(values, dtype=np.int64)
-        )
-        mx = float(counts.max()) if used else 0.0
-        return iter([(counts.sum(), used, ext, elapsed, mx)])
-
-    parts = (
-        sc.parallelize([int(v) for v in sample], numSlices=n_slices)
-        .mapPartitions(part)
-        .collect()
-    )
-    bc.destroy()
-    total = sum(p[0] for p in parts)
-    used = sum(p[1] for p in parts)
-    ext = int(sum(p[2] for p in parts))
-    mean_x = total / used if used else 0.0
-    return CardinalityEstimate(
-        estimate=float(val_count) * mean_x,
-        val_count=val_count,
-        k=used,
-        mean_x=float(mean_x),
-        extensions=ext,
-        elapsed=time.monotonic() - t0,
-        attr=attr,
-        max_x=float(max((p[4] for p in parts), default=0.0)),
     )
 
 

@@ -12,10 +12,8 @@ overrun is reported as "> budget", mirroring the "> 43200" cells.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
-import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.baselines.hcubej import run_hcubej

@@ -12,4 +12,4 @@ from repro.hcube.shares import (  # noqa: F401
     frac,
     optimize_shares,
 )
-from repro.hcube.shuffle import hcube_shuffle, SHUFFLE_SCHEMA  # noqa: F401
+from repro.hcube.shuffle import hcube_shuffle  # noqa: F401

@@ -73,6 +73,23 @@ def _vectors(attrs: Sequence[str], max_product: int) -> Iterable[dict[str, int]]
     yield from rec(0, max_product, {})
 
 
+#: per-server capacity M as a multiple of the tightest achievable load
+MEMORY_SLACK = 2.0
+
+
+def derive_memory(
+    attrs: Sequence[str],
+    raw_relations: Sequence[RelSpec],
+    n_servers: int,
+    slack: float = MEMORY_SLACK,
+) -> float:
+    """Per-server capacity M: ``slack ×`` the minimum achievable expected
+    load over all share vectors with ``∏ p ≤ n_servers``."""
+    return slack * min(
+        server_load(raw_relations, p) for p in _vectors(list(attrs), n_servers)
+    )
+
+
 def optimize_shares(
     attrs: Sequence[str],
     relations: Sequence[RelSpec],

@@ -34,18 +34,9 @@ from typing import Mapping, Sequence
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-SHUFFLE_SCHEMA = "server int, rel string, block array<bigint>"
+from repro.leapfrog.trie import order_aligned_attrs
 
 MODES = ("push", "pull", "merge")
-
-
-def order_aligned_attrs(
-    rel_attrs: Sequence[str], order: Sequence[str]
-) -> tuple[str, ...]:
-    """A relation's attributes permuted to follow the global order —
-    the trie column order Leapfrog requires."""
-    pos = {a: i for i, a in enumerate(order)}
-    return tuple(sorted(rel_attrs, key=lambda a: pos[a]))
 
 
 def strides(order: Sequence[str], shares: Mapping[str, int]) -> dict[str, int]:

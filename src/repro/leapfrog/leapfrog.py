@@ -32,8 +32,6 @@ class LFResult:
     count: int
     intermediate: list[int] = field(default_factory=list)  # |T^i| per level
     extensions: int = 0  # total intersection values produced (β estimation)
-    elapsed: float = 0.0
-    timed_out: bool = False
 
 
 def _intersect(arrays: list[np.ndarray]) -> np.ndarray:
@@ -55,7 +53,6 @@ def leapfrog(
     fixed_prefix: Sequence[int] = (),
     deadline: float | None = None,
     cache: IntersectionCache | None = None,
-    max_rows: int | None = None,
 ) -> LFResult:
     """Run Leapfrog over ``tries`` with attribute ``order``.
 
@@ -65,7 +62,7 @@ def leapfrog(
     used by the sampler (§IV) to evaluate ``T_{A=a}``. ``deadline`` is an
     absolute ``time.monotonic()`` instant; exceeding it raises
     :class:`LeapfrogTimeout`. ``cache`` enables the CacheTrieJoin-style
-    intersection memo. ``max_rows`` caps materialized output.
+    intersection memo.
     """
     order = tuple(order)
     n = len(order)
@@ -87,7 +84,6 @@ def leapfrog(
         if not p:
             raise ValueError(f"attribute {order[i]} appears in no relation")
 
-    start = time.monotonic()
     stats = LFResult(rows=None, count=0, intermediate=[0] * n)
     ranges: list[tuple[int, int]] = [t.root_range() for t in tries]
     binding = np.zeros(n, dtype=np.int64)
@@ -130,10 +126,6 @@ def leapfrog(
                 row[:, :-1] = binding[:-1]
                 row[:, -1] = inter
                 chunks.append(row)
-                if max_rows is not None and stats.count > max_rows:
-                    raise LeapfrogTimeout(
-                        f"result exceeded max_rows={max_rows}"
-                    )
             return
         for v in inter:
             binding[i] = v
@@ -148,10 +140,7 @@ def leapfrog(
     try:
         if all(t.n_rows for t in tries):
             recurse(0)
-        stats.elapsed = time.monotonic() - start
     except LeapfrogTimeout as e:
-        stats.elapsed = time.monotonic() - start
-        stats.timed_out = True
         e.partial = stats  # lower-bound stats for budgeted estimators
         raise
     if emit:

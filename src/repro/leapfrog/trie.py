@@ -40,13 +40,11 @@ class Trie:
         self.values: list[np.ndarray] = []
         self.child_start: list[np.ndarray] = []
         self.child_end: list[np.ndarray] = []
-        self._node_row_start: list[np.ndarray] = []
         if n == 0:
             for _ in range(k):
                 self.values.append(np.empty(0, dtype=np.int64))
                 self.child_start.append(np.empty(0, dtype=np.int64))
                 self.child_end.append(np.empty(0, dtype=np.int64))
-                self._node_row_start.append(np.empty(0, dtype=np.int64))
             return
         row_starts: list[np.ndarray] = []
         row_ends: list[np.ndarray] = []
@@ -60,7 +58,6 @@ class Trie:
             self.values.append(rows[starts, level].copy())
             row_starts.append(starts)
             row_ends.append(ends)
-            self._node_row_start.append(starts)
         for level in range(k):
             if level + 1 < k:
                 cs = np.searchsorted(row_starts[level + 1], row_starts[level])
@@ -72,10 +69,6 @@ class Trie:
             self.child_end.append(ce.astype(np.int64))
 
     # -- navigation --------------------------------------------------------
-    @property
-    def arity(self) -> int:
-        return len(self.attrs)
-
     @property
     def n_rows(self) -> int:
         return int(self.rows.shape[0])
@@ -94,20 +87,17 @@ class Trie:
         idx = lo + int(np.searchsorted(self.values[level][lo:hi], v))
         return int(self.child_start[level][idx]), int(self.child_end[level][idx])
 
-    def contains_prefix(self, prefix: Sequence[int]) -> bool:
-        """Whether some row starts with ``prefix``."""
-        lo, hi = self.root_range()
-        for level, v in enumerate(prefix):
-            vals = self.values[level][lo:hi]
-            idx = int(np.searchsorted(vals, v))
-            if idx >= len(vals) or vals[idx] != v:
-                return False
-            if level + 1 < self.arity:
-                lo, hi = self.descend(level, lo, hi, v)
-        return True
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Trie(attrs={self.attrs}, rows={self.n_rows})"
+
+
+def order_aligned_attrs(
+    rel_attrs: Sequence[str], order: Sequence[str]
+) -> tuple[str, ...]:
+    """A relation's attributes permuted to follow the global order —
+    the trie column order Leapfrog requires."""
+    pos = {a: i for i, a in enumerate(order)}
+    return tuple(sorted(rel_attrs, key=lambda a: pos[a]))
 
 
 def trie_for_order(
@@ -117,10 +107,9 @@ def trie_for_order(
     ``order`` (required by Leapfrog: a relation's attributes must be bound
     in the order the join visits them)."""
     rel_attrs = tuple(rel_attrs)
-    pos = {a: i for i, a in enumerate(order)}
-    missing = [a for a in rel_attrs if a not in pos]
+    missing = [a for a in rel_attrs if a not in order]
     if missing:
         raise ValueError(f"attributes {missing} not in order {tuple(order)}")
-    perm = sorted(range(len(rel_attrs)), key=lambda i: pos[rel_attrs[i]])
+    aligned = order_aligned_attrs(rel_attrs, order)
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, len(rel_attrs))
-    return Trie(rows[:, perm], [rel_attrs[i] for i in perm])
+    return Trie(rows[:, [rel_attrs.index(a) for a in aligned]], aligned)

@@ -2,17 +2,12 @@
 import duckdb
 import pytest
 
-from repro.core.adj import (
-    ADJConfig,
-    derive_memory,
-    precompute_bags,
-    relation_dfs,
-    run_adj,
-)
+from repro.core.adj import ADJConfig, precompute_bags, relation_dfs, run_adj
 from repro.core.cost import CostModel
 from repro.core.hypertree import find_hypertree
 from repro.core.optimizer import optimize
 from repro.core.query import get_query
+from repro.hcube.shares import derive_memory
 from repro.oracle import assert_equivalent
 from repro.synth_data import tiny_graph_pdf
 
@@ -139,6 +134,7 @@ class TestRunADJ:
         )
         assert rep.timed_out
         assert rep.result_count is None
+        assert rep.communication > 0  # timings survive the timeout
 
 
 class TestDeriveMemory:

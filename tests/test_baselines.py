@@ -99,6 +99,7 @@ class TestHCubeJ:
         rep = run_hcubej(spark, q, edges, cfg)
         assert rep.timed_out
         assert rep.result_count is None
+        assert rep.communication > 0  # timings survive the timeout
 
     def test_phase_report_fields(self, spark):
         q = get_query("Q1")
@@ -108,4 +109,5 @@ class TestHCubeJ:
         assert rep.pre_computing == 0.0  # comm-first never pre-computes
         assert rep.communication > 0
         assert rep.computation > 0
+        assert rep.detail["shuffled_tuples"] > 0
         assert "shares" in rep.detail["plan"]

@@ -1,7 +1,12 @@
 """Unit tests for the cost model formulas and local calibration."""
 import pytest
 
-from repro.core.cost import CostModel, calibrate_beta_pre
+from repro.core.cost import (
+    _CAL_CACHE,
+    CostModel,
+    calibrate_alpha,
+    calibrate_beta_pre,
+)
 
 
 def model(**kw) -> CostModel:
@@ -49,11 +54,6 @@ class TestCostFormulas:
         assert pricey > cheap
         assert pricey == pytest.approx(200 / 1000.0 + 1_000_000 / 2000.0)
 
-    def test_with_beta_raw(self):
-        cm = model().with_beta_raw(99.0)
-        assert cm.beta_raw == 99.0
-        assert cm.beta_pre == 500.0
-
     def test_more_servers_cheaper_computation(self):
         c4 = model(n_servers=4).cost_E(1000, precomputed=False)
         c16 = model(n_servers=16).cost_E(1000, precomputed=False)
@@ -66,3 +66,9 @@ class TestCalibration:
         assert b1 > 0
         # trie queries are cheap: at least thousands per second
         assert b1 > 1_000
+
+    def test_alpha_cached_per_application(self, spark):
+        """The cache key is the application id, which a new session after
+        ``stop()`` never reuses (an ``id()`` may be)."""
+        alpha = calibrate_alpha(spark, k=20_000)
+        assert _CAL_CACHE[spark.sparkContext.applicationId]["alpha"] == alpha

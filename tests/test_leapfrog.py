@@ -118,16 +118,6 @@ class TestLeapfrogSmall:
         with pytest.raises(LeapfrogTimeout):
             leapfrog(tries, order, emit=False, deadline=time.monotonic() - 1)
 
-    def test_max_rows_cap(self):
-        edges = tiny_graph_pdf()
-        order = ("a", "b", "c")
-        _, tries = _tries_for_query("Q7", edges, order)
-        base = leapfrog(tries, order)
-        if base.count < 10:
-            pytest.skip("not enough paths")
-        with pytest.raises(LeapfrogTimeout):
-            leapfrog(tries, order, max_rows=5)
-
 
 QUERY_ORDERS = {
     "Q1": ("a", "b", "c"),

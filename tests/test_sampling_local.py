@@ -122,11 +122,21 @@ class TestEstimateLocal:
         assert est.val_count == 0
 
     def test_extension_rate_positive(self):
+        """The optimizer's β statistic is extensions over elapsed time."""
         edges = tiny_graph_pdf()
         _, db = _db_for("Q1", edges)
         est = estimate_cardinality_local(db, ("a", "b", "c"), k=50)
         assert est.extensions > 0
-        assert est.extension_rate > 0
+        assert est.elapsed > 0
+        assert est.count_elapsed > 0
+
+    def test_stats_populated(self):
+        edges = tiny_graph_pdf()
+        _, db = _db_for("Q1", edges)
+        est = estimate_cardinality_local(db, ("a", "b", "c"), k=10)
+        assert 0 < est.k <= 10
+        assert est.val_count > 0
+        assert est.attr == "a"
 
 
 class TestProjectDB:
