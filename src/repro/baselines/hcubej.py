@@ -5,8 +5,9 @@ communication (under the same per-server memory bound as ADJ), pick the
 Leapfrog attribute order from *all* n! orders with the lightweight
 statistics heuristic of [11] ("All-Selected" in Fig. 8), and run the
 one-round join with **no pre-computation**. ``cache_entries > 0`` turns
-it into HCubeJ+Cache [28] (Leapfrog with the bounded intersection
-cache); the cache capacity models the paper's observation that HCube's
+it into HCubeJ+Cache [28] (Leapfrog extending each distinct trie position
+of the frontier once, for at most ``cache_entries`` positions at a time);
+the cache capacity models the paper's observation that HCube's
 memory appetite leaves little room for caching.
 """
 from __future__ import annotations

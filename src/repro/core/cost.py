@@ -5,8 +5,9 @@ paper prescribes:
 
 * ``α``  — tuples shuffled per second: time a small real repartition.
 * ``β_pre`` — partial-binding extensions per second when the extended
-  node is a pre-computed bag: time random queries against a trie
-  ("querying the trie for candidate values").
+  node is a pre-computed bag: time the Leapfrog kernel extending a
+  frontier of random keys through a trie ("querying the trie for
+  candidate values").
 * ``γ``  — tuples per second through a Catalyst binary join (the engine
   that materializes pre-computed bags), used inside ``cost_M``.
 
@@ -34,6 +35,7 @@ from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
 from repro.hcube.shares import RelSpec, Shares, optimize_shares
+from repro.leapfrog.leapfrog import leapfrog
 from repro.leapfrog.trie import Trie
 
 
@@ -121,17 +123,15 @@ def calibrate_gamma(spark: SparkSession, n: int = 100_000) -> float:
 def calibrate_beta_pre(
     size: int = 100_000, queries: int = 20_000, seed: int = 0
 ) -> float:
-    """Measure β for pre-computed bags: random candidate-range queries
-    against a trie of ``size`` rows."""
+    """Measure β for pre-computed bags: the Leapfrog kernel extends a
+    frontier of ``queries`` random keys through a trie of ``size`` rows
+    (key lookup plus candidate range), as it does a pre-computed bag."""
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, size, size=(size, 2), dtype=np.int64)
     trie = Trie(rows, ("x", "y"))
     keys = rng.choice(trie.values[0], size=queries)
-    lo, hi = trie.root_range()
     t0 = time.monotonic()
-    for v in keys:
-        clo, chi = trie.descend(0, lo, hi, int(v))
-        _ = trie.candidates(1, clo, chi)
+    leapfrog([trie], ("x", "y"), emit=False, roots=keys)
     return queries / max(time.monotonic() - t0, 1e-9)
 
 

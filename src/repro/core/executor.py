@@ -25,7 +25,6 @@ from pyspark.sql import functions as F
 from pyspark.storagelevel import StorageLevel
 
 from repro.hcube.shuffle import hcube_shuffle, order_aligned_attrs
-from repro.leapfrog.cache import IntersectionCache
 from repro.leapfrog.leapfrog import LeapfrogTimeout, leapfrog
 from repro.leapfrog.trie import Trie
 
@@ -95,13 +94,12 @@ def _make_worker(
             return pd.DataFrame(
                 {a: pd.Series(dtype="int64") for a in order}
             )
-        cache = IntersectionCache(cache_entries) if cache_entries else None
         res = leapfrog(
             tries,
             order,
             emit=not count_only,
             deadline=deadline,
-            cache=cache,
+            cache_entries=cache_entries,
         )
         if count_only:
             return pd.DataFrame({"cnt": pd.Series([res.count], dtype="int64")})

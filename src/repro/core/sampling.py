@@ -1,8 +1,8 @@
 """Cardinality estimation via sampling (paper §IV).
 
 ``|T| = |val(A)| · mean(|T_{A=a}|)`` over uniformly sampled ``a`` from
-``val(A) = ∩_{R ∋ A} Π_A R``. Per-value counts come from a Leapfrog run
-with the first attribute pinned (``fixed_prefix``). Chernoff–Hoeffding
+``val(A) = ∩_{R ∋ A} Π_A R``. Per-value counts come from one Leapfrog run
+whose first frontier is the sampled values (``roots``). Chernoff–Hoeffding
 (Lemma 2) gives ``k(p, δ)``.
 
 The estimator runs on the driver over numpy relations: the Alg. 2
@@ -80,45 +80,28 @@ def _count_for_values(
     values: np.ndarray,
     budget_seconds: float | None = None,
 ) -> tuple[np.ndarray, int, float, int]:
-    """Leapfrog counts ``|T_{A=a}|`` for each ``a`` (A = order[0]).
+    """Leapfrog counts ``|T_{A=a}|`` for each ``a`` (A = order[0]), all
+    sampled values joined in one call as the kernel's first frontier.
 
     Returns (counts, total_extensions, count_elapsed, processed). A
     ``budget_seconds`` cap stops early (hub values can be arbitrarily
-    heavy); the estimator then scales by the values actually processed.
+    heavy); ``counts`` then covers the values finished, a prefix of
+    ``values``, and the estimator scales by those.
     """
     order = tuple(order)
     tries = [
         trie_for_order(rows, attrs, order) for attrs, rows in db.values()
     ]
-    counts = np.zeros(len(values), dtype=np.int64)
-    ext = 0
     t0 = time.monotonic()  # tries built above: pure counting time follows
     deadline = t0 + budget_seconds if budget_seconds else None
-    processed = 0
-    for i, a in enumerate(values):
-        try:
-            res = leapfrog(
-                tries,
-                order,
-                emit=False,
-                fixed_prefix=(int(a),),
-                deadline=deadline,
-            )
-        except LeapfrogTimeout as e:
-            # keep the partial count as a lower bound so even a single
-            # over-budget hub value yields a usable (if coarse) sample
-            partial = getattr(e, "partial", None)
-            if partial is not None:
-                counts[i] = partial.count
-                ext += partial.extensions
-                processed += 1
-            break
-        counts[i] = res.count
-        ext += res.extensions
-        processed += 1
-        if deadline is not None and time.monotonic() > deadline:
-            break
-    return counts[:processed], ext, time.monotonic() - t0, processed
+    try:
+        res = leapfrog(tries, order, emit=False, roots=values, deadline=deadline)
+    except LeapfrogTimeout as e:
+        res = e.partial
+    # if not even the first value finished, keep its partial count as a
+    # lower bound so a single over-budget hub still yields a sample
+    done = res.roots_done or min(1, len(values))
+    return res.root_counts[:done], res.extensions, time.monotonic() - t0, done
 
 
 def _val_of_attr_local(db: LocalDB, attr: str) -> np.ndarray:

@@ -1,11 +1,10 @@
 """Sequential worst-case-optimal join substrate (paper §II-A).
 
-``trie`` builds the nested sorted-array (CSR) index per relation,
+``trie`` builds the nested sorted-array (CSR) index per relation and
 ``leapfrog`` runs the Leapfrog trie-join of Alg. 1 over a set of tries,
-and ``cache`` adds the bounded intersection cache used by the
-HCubeJ+Cache baseline [28].
+one frontier of partial bindings at a time; its ``cache_entries`` option
+is the intersection cache of the HCubeJ+Cache baseline [28].
 """
-from repro.leapfrog.cache import IntersectionCache  # noqa: F401
 from repro.leapfrog.leapfrog import (  # noqa: F401
     LeapfrogTimeout,
     LFResult,

@@ -68,24 +68,9 @@ class Trie:
             self.child_start.append(cs.astype(np.int64))
             self.child_end.append(ce.astype(np.int64))
 
-    # -- navigation --------------------------------------------------------
     @property
     def n_rows(self) -> int:
         return int(self.rows.shape[0])
-
-    def root_range(self) -> tuple[int, int]:
-        """Node-index range of the level-0 values."""
-        return 0, len(self.values[0])
-
-    def candidates(self, level: int, lo: int, hi: int) -> np.ndarray:
-        """Sorted candidate values of the nodes ``[lo, hi)`` at ``level``."""
-        return self.values[level][lo:hi]
-
-    def descend(self, level: int, lo: int, hi: int, v: int) -> tuple[int, int]:
-        """Child node range (at ``level + 1``) of value ``v`` within node
-        range ``[lo, hi)`` at ``level``. ``v`` must be present."""
-        idx = lo + int(np.searchsorted(self.values[level][lo:hi], v))
-        return int(self.child_start[level][idx]), int(self.child_end[level][idx])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Trie(attrs={self.attrs}, rows={self.n_rows})"

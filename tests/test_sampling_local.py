@@ -1,10 +1,14 @@
 """Unit tests for the local sampling estimator and Hoeffding bound (§IV)."""
+import sys
+
 import duckdb
 import numpy as np
 import pytest
 
 from repro.core.query import get_query
+from repro.core import sampling
 from repro.core.sampling import (
+    _count_for_values,
     estimate_cardinality_local,
     hoeffding_bound,
     project_db,
@@ -12,6 +16,7 @@ from repro.core.sampling import (
     _val_of_attr_local,
 )
 from repro.synth_data import tiny_graph_pdf
+from tests.test_leapfrog import _FakeClock
 
 
 def _db_for(qname, edges):
@@ -129,6 +134,43 @@ class TestEstimateLocal:
         assert est.extensions > 0
         assert est.elapsed > 0
         assert est.count_elapsed > 0
+
+    def test_budget_keeps_exact_prefix(self, monkeypatch):
+        """A budgeted count returns the counts of a prefix of the sample,
+        in sample order, equal to the unbudgeted counts there."""
+        edges = tiny_graph_pdf(n_edges=600, n_nodes=40, seed=4)
+        _, db = _db_for("Q2", edges)
+        order = ("a", "b", "c", "d")
+        sample = np.random.default_rng(0).permutation(
+            _val_of_attr_local(db, "a")
+        )
+        full, _, _, n_full = _count_for_values(db, order, sample)
+        assert n_full == len(sample)
+
+        clock = _FakeClock()
+        lf = sys.modules["repro.leapfrog.leapfrog"]
+        monkeypatch.setattr(lf, "CHUNK", 8)
+        monkeypatch.setattr(lf, "time", clock)
+        monkeypatch.setattr(sampling, "time", clock)
+        counts, ext, _, done = _count_for_values(
+            db, order, sample, budget_seconds=480.0
+        )
+        assert 0 < done < len(sample)
+        assert counts.tolist() == full[:done].tolist()
+        assert ext > 0
+
+    def test_budget_over_first_value_is_lower_bound(self):
+        """If the first value alone overruns, its partial count is kept
+        as a lower bound."""
+        edges = tiny_graph_pdf()
+        _, db = _db_for("Q1", edges)
+        sample = _val_of_attr_local(db, "a")
+        full, _, _, _ = _count_for_values(db, ("a", "b", "c"), sample)
+        counts, _, _, done = _count_for_values(
+            db, ("a", "b", "c"), sample, budget_seconds=1e-12
+        )
+        assert done == 1
+        assert 0 <= counts[0] <= full[0]
 
     def test_stats_populated(self):
         edges = tiny_graph_pdf()

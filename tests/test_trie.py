@@ -12,8 +12,7 @@ class TestTrieBasics:
     def test_single_column(self):
         t = Trie(np.array([[3], [1], [2], [1]]), ("a",))
         assert t.n_rows == 3  # deduped
-        lo, hi = t.root_range()
-        assert t.candidates(0, lo, hi).tolist() == [1, 2, 3]
+        assert t.values[0].tolist() == [1, 2, 3]
 
     def test_two_columns_sorted_and_deduped(self):
         rows = np.array([[2, 1], [1, 2], [1, 1], [1, 2]])
@@ -22,31 +21,34 @@ class TestTrieBasics:
         assert t.rows.tolist() == [[1, 1], [1, 2], [2, 1]]
 
     def test_descend(self):
+        """A level-0 node's child range selects its level-1 values."""
         rows = np.array([[1, 10], [1, 20], [2, 30]])
         t = Trie(rows, ("a", "b"))
-        lo, hi = t.root_range()
-        assert t.candidates(0, lo, hi).tolist() == [1, 2]
-        clo, chi = t.descend(0, lo, hi, 1)
-        assert t.candidates(1, clo, chi).tolist() == [10, 20]
-        clo, chi = t.descend(0, lo, hi, 2)
-        assert t.candidates(1, clo, chi).tolist() == [30]
+        assert t.values[0].tolist() == [1, 2]
+        children = [
+            t.values[1][s:e].tolist()
+            for s, e in zip(t.child_start[0], t.child_end[0])
+        ]
+        assert children == [[10, 20], [30]]
 
     def test_three_levels(self):
         rows = np.array(
             [[1, 1, 1], [1, 1, 2], [1, 2, 1], [2, 1, 5]]
         )
         t = Trie(rows, ("a", "b", "c"))
-        lo, hi = t.root_range()
-        l1 = t.descend(0, lo, hi, 1)
-        assert t.candidates(1, *l1).tolist() == [1, 2]
-        l2 = t.descend(1, *l1, 1)
-        assert t.candidates(2, *l2).tolist() == [1, 2]
+        assert t.values[1].tolist() == [1, 2, 1]
+        assert (t.child_start[0].tolist(), t.child_end[0].tolist()) == (
+            [0, 2], [2, 3]
+        )
+        assert t.values[2].tolist() == [1, 2, 1, 5]
+        assert (t.child_start[1].tolist(), t.child_end[1].tolist()) == (
+            [0, 2, 3], [2, 3, 4]
+        )
 
     def test_empty_relation(self):
         t = Trie(np.empty((0, 2)), ("a", "b"))
         assert t.n_rows == 0
-        assert t.root_range() == (0, 0)
-        assert t.candidates(0, 0, 0).tolist() == []
+        assert [len(v) for v in t.values] == [0, 0]
 
     def test_bad_shape(self):
         with pytest.raises(ValueError):
@@ -92,6 +94,5 @@ def test_trie_roundtrip_property(rows):
     assert leapfrog([t], ("a", "b", "c")).rows.tolist() == [
         list(r) for r in sorted(distinct)
     ]
-    # candidate counts at root match distinct first values
-    lo, hi = t.root_range()
-    assert set(t.candidates(0, lo, hi).tolist()) == {r[0] for r in distinct}
+    # the root level holds the distinct first values
+    assert t.values[0].tolist() == sorted({r[0] for r in distinct})
